@@ -67,6 +67,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzPredictJSON$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDifferential$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDataset$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSalvageShard$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 
@@ -82,7 +83,7 @@ fuzz:
 # mandatory on the guarded run: the alloc columns are part of the gate.
 BENCHTIME ?= 200ms
 GUARDED_PKGS = ./internal/spmv ./internal/tensor ./internal/represent ./internal/serve ./internal/dataset ./internal/nn
-GUARDED_BENCH = 'KernelMul|MatMul|Normalize|Predict|ShardIter|Infer32'
+GUARDED_BENCH = 'KernelMul|MatMul|Normalize|Predict|Decode|ShardIter|Infer32'
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run=^$$ ./... > BENCH.txt || { cat BENCH.txt; exit 1; }
 	$(GO) test -bench=$(GUARDED_BENCH) -benchtime=$(BENCHTIME) -benchmem -count=3 -run=^$$ $(GUARDED_PKGS) >> BENCH.txt || { cat BENCH.txt; exit 1; }

@@ -299,18 +299,18 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
 
-	// The router parses every body itself: malformed requests are
+	// The router scans every body itself: malformed requests are
 	// rejected at the edge with the same 400/413/422 taxonomy a replica
 	// would use, and well-formed ones yield the sparsity fingerprint
-	// that drives shard routing.
+	// that drives shard routing. A JSON body's matrix is never built
+	// here; the owning replica builds it only on a cache miss.
 	ct := r.Header.Get("Content-Type")
-	m, err := serve.DecodeMatrix(ctx, body, ct, rt.cfg.Limits)
+	fp, err := serve.Fingerprint(ctx, body, ct, rt.cfg.Limits)
 	if err != nil {
 		code = serve.IngestStatus(err)
 		writeJSON(w, code, routeError{Error: err.Error()})
 		return
 	}
-	fp := sparse.Fingerprint(m)
 
 	res := rt.forward(ctx, fp, body, ct, r.URL.RawQuery)
 	attempts = res.launches

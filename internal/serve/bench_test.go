@@ -2,10 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/sparse"
+	"repro/internal/synthgen"
 )
 
 // benchPredict drives the full handler path — parse, cache, batch
@@ -52,4 +57,51 @@ func BenchmarkPredictFeedback(b *testing.B) {
 		c.FeedbackDir = b.TempDir()
 		c.FeedbackEstimates = false
 	})
+}
+
+// BenchmarkDecode times DecodeMatrixMeta (scan, then build the matrix)
+// across body sizes: the 24-row body of BenchmarkPredict*, the 64
+// bodies of loadgen's default pool (about 59 KiB each) taken in turn,
+// and a 2048-row body (about 450 KiB) with one entry spliced out of
+// order at the head of its list. Guarded by scripts/benchgate.
+func BenchmarkDecode(b *testing.B) {
+	var pool [][]byte
+	for _, sp := range synthgen.SampleSpecs(64, 1, 384) {
+		pool = append(pool, renderBody(synthgen.Build(sp)))
+	}
+	large := renderBody(synthgen.PowerLaw(2048, 12, 1.8, 7))
+	head := bytes.Index(large, []byte(`"entries":[`)) + len(`"entries":[`)
+	large = bytes.Join([][]byte{large[:head], []byte("[2047,3,1],"), large[head:]}, nil)
+
+	for _, tc := range []struct {
+		name   string
+		bodies [][]byte
+	}{
+		{"small", [][]byte{matrixJSON(24, 2)}},
+		{"pool", pool},
+		{"large", [][]byte{large}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ctx := context.Background()
+			lim := sparse.DefaultLimits()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := DecodeMatrixMeta(ctx, tc.bodies[i%len(tc.bodies)], "application/json", lim); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// renderBody renders m as the JSON predict body cmd/loadgen sends.
+func renderBody(m *sparse.COO) []byte {
+	var req predictRequest
+	req.Rows, req.Cols = m.Dims()
+	for _, e := range m.Entries() {
+		req.Entries = append(req.Entries, [3]float64{float64(e.Row), float64(e.Col), e.Val})
+	}
+	body, _ := json.Marshal(req)
+	return body
 }

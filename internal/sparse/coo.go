@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"sort"
 )
 
 // COO stores a sparse matrix in coordinate (triplet) form: parallel
@@ -19,34 +20,129 @@ type COO struct {
 // (row,col) entries are summed; entries that sum to zero are dropped.
 // It returns an error when an index is out of range.
 func NewCOO(rows, cols int, entries []Entry) (*COO, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("sparse: non-positive dimensions %dx%d", rows, cols)
+	if err := checkDims(rows, cols); err != nil {
+		return nil, err
 	}
-	es := make([]Entry, len(entries))
-	copy(es, entries)
-	for _, e := range es {
+	keys := make([]uint64, len(entries))
+	vals := make([]float64, len(entries))
+	for i, e := range entries {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) out of range for %dx%d matrix",
 				e.Row, e.Col, rows, cols)
 		}
+		keys[i], vals[i] = Key(e.Row, e.Col), e.Val
 	}
-	sortEntries(es)
-	c := &COO{rows: rows, cols: cols}
-	for i := 0; i < len(es); {
+	keys, vals = Canonicalize(keys, vals)
+	return fromKeys(rows, cols, keys, vals), nil
+}
+
+// maxSide is the largest dimension a COO can index: Rows and Cols are
+// int32, so indices stop at 1<<31 - 1.
+const maxSide = 1 << 31
+
+func checkDims(rows, cols int) error {
+	if rows <= 0 || cols <= 0 {
+		return fmt.Errorf("sparse: non-positive dimensions %dx%d", rows, cols)
+	}
+	if rows > maxSide || cols > maxSide {
+		return fmt.Errorf("sparse: dimensions %dx%d exceed the int32 index space", rows, cols)
+	}
+	return nil
+}
+
+// Key packs a coordinate into one uint64, row in the high half, so
+// that keys order row-major. Both indices must be in [0, 1<<32).
+func Key(row, col int) uint64 { return uint64(row)<<32 | uint64(uint32(col)) }
+
+// Canonicalize puts keyed triplets (keys[i] holds the coordinate of
+// vals[i]) into NewCOO's canonical form in place: sorted by key, each
+// repeated key summed into one entry and zero sums dropped. It returns
+// the shortened slices. Input that is already strictly increasing and
+// nonzero is returned untouched in one pass.
+func Canonicalize(keys []uint64, vals []float64) ([]uint64, []float64) {
+	if isCanonical(keys, vals) {
+		return keys, vals
+	}
+	sort.Sort(keyed{keys, vals})
+	n := 0
+	for i := 0; i < len(keys); {
 		j := i + 1
-		v := es[i].Val
-		for j < len(es) && es[j].Row == es[i].Row && es[j].Col == es[i].Col {
-			v += es[j].Val
+		v := vals[i]
+		for j < len(keys) && keys[j] == keys[i] {
+			v += vals[j]
 			j++
 		}
 		if v != 0 {
-			c.Rows = append(c.Rows, int32(es[i].Row))
-			c.Cols = append(c.Cols, int32(es[i].Col))
-			c.Vals = append(c.Vals, v)
+			keys[n], vals[n] = keys[i], v
+			n++
 		}
 		i = j
 	}
-	return c, nil
+	return keys[:n], vals[:n]
+}
+
+func isCanonical(keys []uint64, vals []float64) bool {
+	for i, k := range keys {
+		if vals[i] == 0 || (i > 0 && k <= keys[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyed sorts parallel key and value slices by key.
+type keyed struct {
+	keys []uint64
+	vals []float64
+}
+
+func (k keyed) Len() int           { return len(k.keys) }
+func (k keyed) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k keyed) Swap(i, j int) {
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
+	k.vals[i], k.vals[j] = k.vals[j], k.vals[i]
+}
+
+// NewCOOSorted builds a COO from keyed triplets that are already
+// canonical: keys (see Key) strictly increasing, every coordinate
+// inside rows×cols and every value nonzero. It verifies that in one
+// O(n) pass and errors otherwise. The matrix takes ownership of vals;
+// keys is only read.
+func NewCOOSorted(rows, cols int, keys []uint64, vals []float64) (*COO, error) {
+	if err := checkDims(rows, cols); err != nil {
+		return nil, err
+	}
+	if len(keys) != len(vals) {
+		return nil, fmt.Errorf("sparse: %d keys for %d values", len(keys), len(vals))
+	}
+	for i, k := range keys {
+		r, c := k>>32, k&0xFFFFFFFF
+		switch {
+		case r >= uint64(rows) || c >= uint64(cols):
+			return nil, fmt.Errorf("sparse: entry (%d,%d) out of range for %dx%d matrix", r, c, rows, cols)
+		case i > 0 && k <= keys[i-1]:
+			return nil, fmt.Errorf("sparse: entry %d (%d,%d) is not after its predecessor", i, r, c)
+		case vals[i] == 0:
+			return nil, fmt.Errorf("sparse: entry %d (%d,%d) is an explicit zero", i, r, c)
+		}
+	}
+	return fromKeys(rows, cols, keys, vals), nil
+}
+
+// fromKeys builds the matrix from canonical keyed triplets, taking
+// ownership of vals. An empty matrix keeps nil index slices.
+func fromKeys(rows, cols int, keys []uint64, vals []float64) *COO {
+	c := &COO{rows: rows, cols: cols}
+	if len(keys) == 0 {
+		return c
+	}
+	c.Rows = make([]int32, len(keys))
+	c.Cols = make([]int32, len(keys))
+	for i, k := range keys {
+		c.Rows[i], c.Cols[i] = int32(k>>32), int32(uint32(k))
+	}
+	c.Vals = vals
+	return c
 }
 
 // MustCOO is NewCOO that panics on error; for use with known-good data

@@ -31,8 +31,26 @@ func Fingerprint(m *COO) uint64 {
 		sum += h
 		xor ^= h
 	}
-	h := mix64(uint64(m.rows)*0x9E3779B97F4A7C15 ^ uint64(m.cols))
-	h = mix64(h ^ uint64(m.NNZ()))
+	return fingerprint(m.rows, m.cols, m.NNZ(), sum, xor)
+}
+
+// FingerprintKeys is Fingerprint of the rows×cols matrix whose pattern
+// is keys (see Key): each key must be distinct and name a stored
+// nonzero, in any order. It lets a caller that holds only the pattern
+// hash it without building the matrix.
+func FingerprintKeys(rows, cols int, keys []uint64) uint64 {
+	var sum, xor uint64
+	for _, k := range keys {
+		h := mix64(k)
+		sum += h
+		xor ^= h
+	}
+	return fingerprint(rows, cols, len(keys), sum, xor)
+}
+
+func fingerprint(rows, cols, nnz int, sum, xor uint64) uint64 {
+	h := mix64(uint64(rows)*0x9E3779B97F4A7C15 ^ uint64(cols))
+	h = mix64(h ^ uint64(nnz))
 	h = mix64(h ^ sum)
 	h = mix64(h ^ xor)
 	return h

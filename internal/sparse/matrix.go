@@ -9,7 +9,6 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Format identifies a sparse storage format.
@@ -125,14 +124,4 @@ func checkMulVecDims(rows, cols int, y, x []float64, format Format) {
 type Entry struct {
 	Row, Col int
 	Val      float64
-}
-
-// sortEntries orders entries row-major (row, then col).
-func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Row != es[j].Row {
-			return es[i].Row < es[j].Row
-		}
-		return es[i].Col < es[j].Col
-	})
 }

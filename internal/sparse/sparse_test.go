@@ -96,6 +96,69 @@ func TestNewCOOValidation(t *testing.T) {
 	if _, err := NewCOO(4, 4, []Entry{{0, -1, 1}}); err == nil {
 		t.Fatal("accepted negative col")
 	}
+	if _, err := NewCOO(1<<31+1, 4, nil); err == nil {
+		t.Fatal("accepted more rows than int32 indices reach")
+	}
+}
+
+// TestNewCOOSortedVerifies: the keyed constructor accepts exactly the
+// canonical input NewCOO would produce, and names each violation.
+func TestNewCOOSortedVerifies(t *testing.T) {
+	keys := []uint64{Key(0, 1), Key(1, 0), Key(2, 2)}
+	m, err := NewCOOSorted(3, 3, keys, []float64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := MustCOO(3, 3, []Entry{{2, 2, 3}, {0, 1, 1}, {1, 0, 2}}); !m.Equal(want) {
+		t.Fatalf("got %+v, want %+v", m, want)
+	}
+	for name, tc := range map[string]struct {
+		rows, cols int
+		keys       []uint64
+		vals       []float64
+	}{
+		"out of order": {3, 3, []uint64{Key(1, 0), Key(0, 1)}, []float64{1, 1}},
+		"repeated":     {3, 3, []uint64{Key(1, 0), Key(1, 0)}, []float64{1, 1}},
+		"zero":         {3, 3, []uint64{Key(1, 0)}, []float64{0}},
+		"row range":    {3, 3, []uint64{Key(3, 0)}, []float64{1}},
+		"col range":    {3, 3, []uint64{Key(0, 3)}, []float64{1}},
+		"length":       {3, 3, []uint64{Key(0, 0)}, nil},
+		"dims":         {0, 3, nil, nil},
+	} {
+		if _, err := NewCOOSorted(tc.rows, tc.cols, tc.keys, tc.vals); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestCanonicalizeMatchesNewCOO: the keyed canonicalisation gives
+// NewCOO's matrix, duplicate sums included, on random triplets with
+// repeats, cancellations and zeros.
+func TestCanonicalizeMatchesNewCOO(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(9), 1+rng.Intn(9)
+		es := make([]Entry, rng.Intn(40))
+		for i := range es {
+			es[i] = Entry{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: float64(rng.Intn(5)-2) * rng.Float64()}
+		}
+		want := MustCOO(rows, cols, es)
+		keys, vals := make([]uint64, len(es)), make([]float64, len(es))
+		for i, e := range es {
+			keys[i], vals[i] = Key(e.Row, e.Col), e.Val
+		}
+		keys, vals = Canonicalize(keys, vals)
+		got, err := NewCOOSorted(rows, cols, keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("trial %d: got %v %v %v, want %v %v %v", trial, got.Rows, got.Cols, got.Vals, want.Rows, want.Cols, want.Vals)
+		}
+		if FingerprintKeys(rows, cols, keys) != Fingerprint(want) {
+			t.Fatalf("trial %d: FingerprintKeys differs from Fingerprint", trial)
+		}
+	}
 }
 
 func TestNewCOODeduplicatesAndDropsZeros(t *testing.T) {

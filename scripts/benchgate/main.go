@@ -57,6 +57,7 @@ var guarded = []*regexp.Regexp{
 	regexp.MustCompile(`^repro/internal/tensor/BenchmarkMatMul`),
 	regexp.MustCompile(`^repro/internal/represent/BenchmarkNormalize`),
 	regexp.MustCompile(`^repro/internal/serve/BenchmarkPredict`),
+	regexp.MustCompile(`^repro/internal/serve/BenchmarkDecode/`),
 	regexp.MustCompile(`^repro/internal/nn/BenchmarkInfer32Predict`),
 }
 

@@ -102,6 +102,7 @@ fi
 # violation found within the budget; regressions crash the script.
 go test -run='^$' -fuzz='^FuzzReadMatrixMarket$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzPredictJSON$' -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz='^FuzzDecodeDifferential$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzLoadDataset$' -fuzztime=10s ./internal/dataset
 
 if [[ "${SHORT:-0}" == "1" ]]; then
