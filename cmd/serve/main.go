@@ -65,7 +65,6 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "admin listen address for /metrics, /debug/pprof/ and /debug/traces (empty disables)")
 	model := flag.String("model", "model.gob", "trained model file (selector envelope)")
 	batch := flag.Int("batch", 16, "max prediction jobs per micro-batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a batch waits to fill")
 	workers := flag.Int("workers", 0, "prediction worker pool size (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 1024, "prediction cache entries (0 disables)")
 	watch := flag.Duration("watch", 2*time.Second, "model file watch interval (0 disables hot-reload watching)")
@@ -119,7 +118,6 @@ func main() {
 	s, err := serve.New(serve.Config{
 		ModelPath:               *model,
 		BatchMax:                *batch,
-		BatchWindow:             *batchWindow,
 		Workers:                 *workers,
 		QueueDepth:              *queue,
 		CacheSize:               *cacheSize,

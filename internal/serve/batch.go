@@ -81,12 +81,12 @@ func (s *Server) finishJob(j *job, res jobResult) {
 	}
 }
 
-// dispatch is the micro-batching loop: it blocks for the first job,
-// then coalesces more until the batch is full (BatchMax) or the batch
-// window closes, and hands the batch to the worker pool. Batching
-// amortises model-pointer loads and per-request bookkeeping, and gives
-// the pool scheduler units big enough to matter under heavy
-// concurrency while the window keeps the added latency bounded.
+// dispatch is the continuous-batching loop: it blocks for the first
+// job, then for a free worker slot, then takes whatever backlog queued
+// up meanwhile (up to BatchMax) without waiting for more. A lone
+// request on an idle server reaches a worker at once; batches form only
+// from the backlog that builds while every worker is busy, which is
+// exactly when amortising per-batch bookkeeping pays.
 func (s *Server) dispatch() {
 	defer s.dispWG.Done()
 	for {
@@ -97,41 +97,28 @@ func (s *Server) dispatch() {
 			s.drainJobs()
 			return
 		}
+		// The gate closes only at shutdown.
+		if !s.gate.acquire() {
+			s.finishJob(first, jobResult{err: errShutdown})
+			continue
+		}
 		batch := []*job{first}
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	collect:
+	drain:
 		for len(batch) < s.cfg.BatchMax {
 			select {
 			case j := <-s.jobs:
 				batch = append(batch, j)
-			case <-timer.C:
-				break collect
-			case <-s.quit:
-				break collect
+			default:
+				break drain
 			}
-		}
-		timer.Stop()
-		b := batch
-		// Autosizing: with the overload plane on, batches pass a dynamic
-		// gate sized to the admission limit before taking a pool worker.
-		// When the limit collapses, work concentrates onto fewer workers
-		// (fuller, more coherent batches); the gate reopens as the limit
-		// recovers. The gate only closes at shutdown.
-		if s.adm != nil && !s.adm.gate.acquire() {
-			s.answerAll(b, jobResult{err: errShutdown})
-			continue
 		}
 		err := s.pool.Submit(func() {
-			if s.adm != nil {
-				defer s.adm.gate.release()
-			}
-			s.runBatch(b)
+			defer s.gate.release()
+			s.runBatch(batch)
 		})
 		if err != nil {
-			if s.adm != nil {
-				s.adm.gate.release()
-			}
-			s.answerAll(b, jobResult{err: errShutdown})
+			s.gate.release()
+			s.answerAll(batch, jobResult{err: errShutdown})
 		}
 	}
 }
@@ -173,9 +160,12 @@ func (s *Server) runBatch(batch []*job) {
 	s.met.batchJobs.Add(uint64(len(batch)))
 	s.met.batchSize.Observe(float64(len(batch)))
 	// The queue span closes for every member at pickup: time between the
-	// handler's submit and the worker starting the batch.
+	// handler's submit and the worker starting the batch. The always-on
+	// histogram records the same interval.
 	for _, j := range batch {
-		j.tr.ObserveSpan("queue", j.enqueued)
+		wait := time.Since(j.enqueued)
+		j.tr.ObserveSpanDur("queue", j.enqueued, wait)
+		s.met.queueWait.Observe(wait.Seconds())
 	}
 
 	allocStart := heapAllocObjects()

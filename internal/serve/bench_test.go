@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
@@ -39,12 +38,11 @@ func BenchmarkPredictCached(b *testing.B) {
 }
 
 // BenchmarkPredictUncached forces every request through batch dispatch
-// and a full forward pass (cache disabled, no batching delay).
+// and a full forward pass (cache disabled). Requests arrive one at a
+// time on an idle server, so each goes straight to a worker. Guarded by
+// scripts/benchgate.
 func BenchmarkPredictUncached(b *testing.B) {
-	benchPredict(b, func(c *Config) {
-		c.CacheSize = 0
-		c.BatchWindow = 50 * time.Microsecond
-	})
+	benchPredict(b, func(c *Config) { c.CacheSize = 0 })
 }
 
 // BenchmarkPredictFeedback is the cached hot path with feedback logging

@@ -31,7 +31,6 @@ func newChaosServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	t.Cleanup(faultinject.Reset)
 	return newTestServer(t, func(c *Config) {
 		c.CacheSize = 0
-		c.BatchWindow = time.Millisecond
 		if mutate != nil {
 			mutate(c)
 		}

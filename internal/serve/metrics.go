@@ -53,7 +53,8 @@ type metrics struct {
 	batches        *obs.Counter
 	batchJobs      *obs.Counter
 	batchSize      *obs.Histogram
-	predictAllocs  *obs.Gauge // heap objects allocated per predict job, last batch
+	queueWait      *obs.Histogram // enqueue-to-pickup wait per job
+	predictAllocs  *obs.Gauge     // heap objects allocated per predict job, last batch
 	queueRejects   *obs.Counter
 	reloads        *obs.Counter
 
@@ -120,6 +121,7 @@ func newMetrics() *metrics {
 	m.batches = r.Counter("serve_batches_total", "Micro-batches dispatched to the worker pool.")
 	m.batchJobs = r.Counter("serve_batch_jobs_total", "Prediction jobs processed through batches.")
 	m.batchSize = r.Histogram("serve_batch_size", "Jobs coalesced per micro-batch.", obs.DefBatchBuckets())
+	m.queueWait = r.Histogram("serve_queue_wait_seconds", "Time a prediction job waited between enqueue and worker pickup.", obs.DefLatencyBuckets())
 	m.predictAllocs = r.Gauge("serve_predict_allocs", "Heap objects allocated per predict job over the most recent micro-batch (process-wide delta: concurrent batches and background work inflate it).")
 	m.queueRejects = r.Counter("serve_queue_rejects_total", "Requests rejected because the batch queue was full.")
 	m.queueExpired = r.Counter("serve_queue_expired_total", "Jobs evicted unexecuted at dequeue because their deadline expired (or the client hung up) while queued.")

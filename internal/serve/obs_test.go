@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // preRefactorMetricNames is the frozen contract: every metric the serve
@@ -158,13 +157,14 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// TestTracePropagationUnderBatching fires concurrent requests so the
-// dispatcher coalesces them into shared batches, then checks every
-// response still carries its own distinct, complete trace.
+// TestTracePropagationUnderBatching holds every worker until all
+// requests are queued, so the dispatcher coalesces the backlog into a
+// shared batch, then checks every response still carries its own
+// distinct, complete trace.
 func TestTracePropagationUnderBatching(t *testing.T) {
 	s, _ := newTestServer(t, func(c *Config) {
 		c.CacheSize = 0
-		c.BatchWindow = 5 * time.Millisecond
+		c.Workers = 2
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -173,15 +173,27 @@ func TestTracePropagationUnderBatching(t *testing.T) {
 	ids := make([]string, n)
 	resps := make([]response, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	start := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			// Distinct sizes defeat the cache so every request rides a batch.
 			ids[i], resps[i] = traceResponse(t, ts, matrixJSON(16+i, 1))
-		}(i)
+		}()
 	}
+	release := parkWorkers(t, s, start)
+	defer release()
+	for i := s.cfg.Workers; i < n; i++ {
+		start(i)
+	}
+	waitQueued(t, s, n)
+	release()
 	wg.Wait()
+
+	page := scrapeMetrics(t, ts)
+	if ones, all := labeledMetric(page, `serve_batch_size_bucket{le="1"}`), metricValue(t, page, "serve_batches_total"); ones >= all {
+		t.Fatalf("all %g batches held a single job: nothing shared a batch", all)
+	}
 
 	seen := map[string]bool{}
 	for i := 0; i < n; i++ {

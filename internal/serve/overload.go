@@ -63,7 +63,6 @@ type admission struct {
 	batch   int           // configured batch size cap
 	lim     *robust.Limiter
 	tracker *obs.SLOTracker
-	gate    *workerGate
 
 	onBrownout func(engaged bool) // transition hook (metrics + log)
 
@@ -105,7 +104,6 @@ func newAdmission(cfg Config) *admission {
 		Window:  5 * time.Second,
 		Buckets: 10,
 	})
-	a.gate = newWorkerGate(a.effWorkers)
 	a.winStart = a.now()
 	return a
 }

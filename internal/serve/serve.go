@@ -12,9 +12,10 @@
 //   - Prediction cache: an LRU keyed by sparse.Fingerprint — a
 //     position-only pattern hash — so structurally identical matrices
 //     skip the CNN forward pass entirely.
-//   - Micro-batching dispatcher: concurrent requests are coalesced
-//     into bounded batches (BatchMax jobs or BatchWindow, whichever
-//     first) and executed on a robust.Pool of panic-contained workers.
+//   - Continuous-batching dispatcher: a job goes to a free worker at
+//     once; while every worker is busy the backlog is coalesced into
+//     batches of up to BatchMax jobs, executed on a robust.Pool of
+//     panic-contained workers.
 //   - Model slot: an atomic.Pointer[selector.Selector] swapped by
 //     Reload after the candidate file passes the checksummed-envelope
 //     loader, so a corrupt deploy artifact can never take over and
@@ -54,13 +55,11 @@ type Config struct {
 	ModelPath string
 	// BatchMax bounds jobs per micro-batch (default 16).
 	BatchMax int
-	// BatchWindow is how long the dispatcher waits to fill a batch
-	// after the first job arrives (default 2ms).
-	BatchWindow time.Duration
 	// Workers sizes the prediction pool (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds jobs waiting for dispatch; beyond it requests
-	// are rejected with 503 (default 4*BatchMax*Workers).
+	// are shed with 429 + Retry-After (default 4*BatchMax*Workers).
+	// This is the shed path when admission is fixed (SLOTargetP99 0).
 	QueueDepth int
 	// CacheSize is the LRU prediction cache capacity in entries
 	// (default 1024; 0 disables, negative means default).
@@ -140,9 +139,6 @@ func (c *Config) defaults() {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -192,7 +188,8 @@ type Server struct {
 	traces  *obs.TraceLog
 	pool    *robust.Pool
 	jobs    chan *job
-	adm     *admission // overload-control plane (nil when SLOTargetP99 is 0)
+	gate    *workerGate // batches executing at once: Workers, or autosized by adm
+	adm     *admission  // overload-control plane (nil when SLOTargetP99 is 0)
 	quit    chan struct{}
 	dispWG  sync.WaitGroup
 	httpSrv atomic.Pointer[http.Server]
@@ -260,8 +257,13 @@ func New(cfg Config) (*Server, error) {
 		s.logf("serve: breaker %s -> %s", from, to)
 	}
 	s.met.instrumentBreaker(s.breaker)
+	workers := func() int { return cfg.Workers }
 	if cfg.SLOTargetP99 > 0 {
 		s.adm = newAdmission(cfg)
+		// Autosizing: the worker gate tracks the admission limit, so a
+		// collapsing limit concentrates work onto fewer workers (fuller,
+		// more coherent batches) and a recovering one fans back out.
+		workers = s.adm.effWorkers
 		s.adm.onBrownout = func(engaged bool) {
 			if engaged {
 				s.met.brownoutState.SetInt(1)
@@ -275,6 +277,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.met.instrumentAdmission(s.adm)
 	}
+	s.gate = newWorkerGate(workers)
 	if err := s.Reload(); err != nil {
 		s.pool.Close()
 		return nil, fmt.Errorf("serve: initial model load: %w", err)
@@ -425,9 +428,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// on it would turn a bounded shutdown into an unbounded one, so
 		// the pool is abandoned (the process is exiting anyway).
 		close(s.quit)
-		if s.adm != nil {
-			s.adm.gate.close()
-		}
+		s.gate.close()
 		if drained {
 			s.dispWG.Wait()
 			s.pool.Close()

@@ -46,7 +46,7 @@ func newTestServer(t testing.TB, mutate func(*Config)) (*Server, string) {
 	dir := t.TempDir()
 	model := filepath.Join(dir, "model.gob")
 	saveTestModel(t, model, 1)
-	cfg := Config{ModelPath: model, BatchWindow: time.Millisecond, CacheSize: 64}
+	cfg := Config{ModelPath: model, CacheSize: 64}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -111,7 +111,7 @@ func TestShutdownDeadline(t *testing.T) {
 	dir := t.TempDir()
 	model := filepath.Join(dir, "model.gob")
 	saveTestModel(t, model, 1)
-	s, err := New(Config{ModelPath: model, BatchWindow: time.Millisecond})
+	s, err := New(Config{ModelPath: model})
 	if err != nil {
 		t.Fatal(err)
 	}

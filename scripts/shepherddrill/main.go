@@ -184,7 +184,6 @@ func start(dir string, bins map[string]string, model, trainPath, tag string, she
 		"-model", model,
 		"-watch", "100ms",
 		"-cache", "512",
-		"-batch-window", "1ms",
 		"-feedback-dir", pr.feedback,
 		"-feedback-segment-age", "250ms",
 		"-shadow-sample", "1",
