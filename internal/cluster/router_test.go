@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -301,6 +302,68 @@ func TestRouterRelays4xxImmediately(t *testing.T) {
 	}
 	if a.hits.Load()+b.hits.Load() != 1 {
 		t.Fatalf("%d attempts for a 4xx answer, want 1", a.hits.Load()+b.hits.Load())
+	}
+}
+
+// repeatReader yields an endless run of one byte.
+type repeatReader byte
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// TestRouterBodyReadBounds: a body that declares MaxBodyBytes and sends
+// 10 bytes answers 400 at the edge and allocates no more than a 1 MiB
+// read buffer for the claim; a body over MaxBodyBytes answers 413,
+// declared or chunked; chunked bodies and a declared body past 1 MiB
+// still route.
+func TestRouterBodyReadBounds(t *testing.T) {
+	const limit = 8 << 20
+	a := newFakeReplica(t)
+	rt, _ := newTestRouter(t, func(c *Config) { c.MaxBodyBytes = limit }, a)
+	h := rt.Handler()
+	post := func(body io.Reader, length int64) int {
+		req := httptest.NewRequest("POST", "/v1/predict", body)
+		req.ContentLength = length
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		return rr.Code
+	}
+	var large bytes.Buffer
+	large.WriteString(`{"rows":4096,"cols":4096,"entries":[[0,0,1]`)
+	for i := 1; large.Len() <= 1<<20; i++ {
+		fmt.Fprintf(&large, ",[%d,%d,1.25]", i/4096, i%4096)
+	}
+	large.WriteString("]}")
+	for _, tc := range []struct {
+		name   string
+		body   func() io.Reader
+		length int64
+		want   int
+	}{
+		{"short", func() io.Reader { return strings.NewReader(`{"rows":1,`) }, limit, http.StatusBadRequest},
+		{"declared over", func() io.Reader { return io.LimitReader(repeatReader(' '), limit+1) }, limit + 1, http.StatusRequestEntityTooLarge},
+		{"chunked over", func() io.Reader { return io.LimitReader(repeatReader(' '), limit+1) }, -1, http.StatusRequestEntityTooLarge},
+		{"chunked", func() io.Reader { return bytes.NewReader(predictBody(1)) }, -1, http.StatusOK},
+		{"declared large", func() io.Reader { return bytes.NewReader(large.Bytes()) }, int64(large.Len()), http.StatusOK},
+		{"chunked large", func() io.Reader { return bytes.NewReader(large.Bytes()) }, -1, http.StatusOK},
+	} {
+		if code := post(tc.body(), tc.length); code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		post(strings.NewReader(`{"rows":1,`), limit)
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > 1<<20+64<<10 {
+		t.Errorf("a 10-byte body declaring %d bytes allocated %d bytes", limit, n)
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 )
 
 // benchPredict drives the full handler path — parse, cache, batch
-// dispatch, ladder, render — without network overhead.
-func benchPredict(b *testing.B, mutate func(*Config)) {
+// dispatch, ladder, render — for one body without network overhead.
+func benchPredict(b *testing.B, body []byte, mutate func(*Config)) {
 	s, _ := newTestServer(b, mutate)
 	h := s.Handler()
-	body := matrixJSON(24, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body))
@@ -34,7 +33,7 @@ func benchPredict(b *testing.B, mutate func(*Config)) {
 // after the first is answered from the prediction cache. Guarded by
 // scripts/benchgate.
 func BenchmarkPredictCached(b *testing.B) {
-	benchPredict(b, nil)
+	benchPredict(b, matrixJSON(24, 2), nil)
 }
 
 // BenchmarkPredictUncached forces every request through batch dispatch
@@ -42,7 +41,16 @@ func BenchmarkPredictCached(b *testing.B) {
 // time on an idle server, so each goes straight to a worker. Guarded by
 // scripts/benchgate.
 func BenchmarkPredictUncached(b *testing.B) {
-	benchPredict(b, func(c *Config) { c.CacheSize = 0 })
+	benchPredict(b, matrixJSON(24, 2), func(c *Config) { c.CacheSize = 0 })
+}
+
+// BenchmarkPredictUncachedLarge is BenchmarkPredictUncached on
+// BenchmarkDecode's 2048-row body (about 450 KiB): the miss path of
+// perfbench's cold-saturate workload, whose cost is reading and
+// scanning the body and building the pattern. Guarded by
+// scripts/benchgate.
+func BenchmarkPredictUncachedLarge(b *testing.B) {
+	benchPredict(b, largeBody(), func(c *Config) { c.CacheSize = 0 })
 }
 
 // BenchmarkPredictFeedback is the cached hot path with feedback logging
@@ -51,7 +59,7 @@ func BenchmarkPredictUncached(b *testing.B) {
 // building the entry and the channel send). Guarded by
 // scripts/benchgate.
 func BenchmarkPredictFeedback(b *testing.B) {
-	benchPredict(b, func(c *Config) {
+	benchPredict(b, matrixJSON(24, 2), func(c *Config) {
 		c.FeedbackDir = b.TempDir()
 		c.FeedbackEstimates = false
 	})
@@ -67,17 +75,13 @@ func BenchmarkDecode(b *testing.B) {
 	for _, sp := range synthgen.SampleSpecs(64, 1, 384) {
 		pool = append(pool, renderBody(synthgen.Build(sp)))
 	}
-	large := renderBody(synthgen.PowerLaw(2048, 12, 1.8, 7))
-	head := bytes.Index(large, []byte(`"entries":[`)) + len(`"entries":[`)
-	large = bytes.Join([][]byte{large[:head], []byte("[2047,3,1],"), large[head:]}, nil)
-
 	for _, tc := range []struct {
 		name   string
 		bodies [][]byte
 	}{
 		{"small", [][]byte{matrixJSON(24, 2)}},
 		{"pool", pool},
-		{"large", [][]byte{large}},
+		{"large", [][]byte{largeBody()}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			ctx := context.Background()
@@ -91,6 +95,14 @@ func BenchmarkDecode(b *testing.B) {
 			}
 		})
 	}
+}
+
+// largeBody is a 2048-row power-law body (about 450 KiB) with one entry
+// spliced out of row-major order at the head of its list.
+func largeBody() []byte {
+	large := renderBody(synthgen.PowerLaw(2048, 12, 1.8, 7))
+	head := bytes.Index(large, []byte(`"entries":[`)) + len(`"entries":[`)
+	return bytes.Join([][]byte{large[:head], []byte("[2047,3,1],"), large[head:]}, nil)
 }
 
 // renderBody renders m as the JSON predict body cmd/loadgen sends.

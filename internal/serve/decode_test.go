@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/represent"
 	"repro/internal/selector"
 	"repro/internal/sparse"
+	"repro/internal/synthgen"
 )
 
 // decodeQuirks are bodies at the edges of the JSON grammar the scanner
@@ -66,10 +69,13 @@ var decodeQuirks = []string{
 
 // FuzzDecodeDifferential runs the scanner and the reflective reference
 // decoder (decode_ref_test.go) on the same body. They must agree on
-// accept/reject; accepted bodies must give the same dimensions, the
-// same canonical Rows/Cols/Vals, the same client timing and the same
-// fingerprint, on every scanner path (the one-pass DecodeMatrixMeta,
-// the router's Fingerprint, and the replica's scan-then-build).
+// accept/reject; accepted bodies must give the same client timing and
+// the same fingerprint on every scanner path (the one-pass
+// DecodeMatrixMeta, the router's Fingerprint, and the replica's
+// scan-then-build). DecodeMatrixMeta must give the reference's
+// dimensions and canonical Rows/Cols/Vals exactly; scan-then-build,
+// which builds the served pattern, must give the same dimensions and
+// Rows/Cols with every value 1.
 // Rejections must map to 400/413/422 on both sides and to the same
 // status, except that the scanner answers 413 where the reference
 // answered 400 when a cap trips before the malformation: the reference
@@ -139,10 +145,13 @@ func checkDifferential(t *testing.T, data []byte, contentType string, lim sparse
 		return
 	}
 
-	for name, m := range map[string]*sparse.COO{"DecodeMatrixMeta": got, "scan-then-build": built} {
-		if !m.Equal(want) {
+	for name, pair := range map[string][2]*sparse.COO{
+		"DecodeMatrixMeta": {got, want},
+		"scan-then-build":  {built, unitValued(want)},
+	} {
+		if m, w := pair[0], pair[1]; !m.Equal(w) {
 			t.Fatalf("%s matrix differs from the reference:\n got %v %v %v\nwant %v %v %v",
-				name, m.Rows, m.Cols, m.Vals, want.Rows, want.Cols, want.Vals)
+				name, m.Rows, m.Cols, m.Vals, w.Rows, w.Cols, w.Vals)
 		}
 	}
 	if gotSec != wantSec {
@@ -151,6 +160,17 @@ func checkDifferential(t *testing.T, data []byte, contentType string, lim sparse
 	if wfp := sparse.Fingerprint(want); fp != wfp || builtFP != wfp {
 		t.Fatalf("fingerprints %x (Fingerprint) %x (scan) differ from the reference's %x", fp, builtFP, wfp)
 	}
+}
+
+// unitValued returns m's pattern with every value 1: the matrix a
+// replica serves for a body that decodes to m.
+func unitValued(m *sparse.COO) *sparse.COO {
+	u := *m
+	u.Vals = make([]float64, len(m.Vals))
+	for i := range u.Vals {
+		u.Vals[i] = 1
+	}
+	return &u
 }
 
 // scanThenBuild is the replica's order: scan and fingerprint, then
@@ -262,6 +282,57 @@ func TestCapsEnforcedDuringScan(t *testing.T) {
 	}
 }
 
+// repeatReader yields an endless run of one byte.
+type repeatReader byte
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// TestBodyReadBounds: a body that declares MaxBodyBytes and sends 10
+// bytes answers 400 and allocates no more than bodyPrealloc for the
+// claim; a body over MaxBodyBytes answers 413, declared or chunked;
+// chunked bodies and a declared body past bodyPrealloc still decode.
+func TestBodyReadBounds(t *testing.T) {
+	const limit = 8 << 20
+	s, _ := newTestServer(t, func(c *Config) { c.MaxBodyBytes = limit })
+	h := s.Handler()
+	post := func(body io.Reader, length int64) int {
+		req := httptest.NewRequest("POST", "/v1/predict", body)
+		req.ContentLength = length
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		return rr.Code
+	}
+	small, large := matrixJSON(24, 2), bigBody(4096, 4096, 100_000)
+	if len(large) <= bodyPrealloc {
+		t.Fatalf("large body is %d bytes, not past bodyPrealloc", len(large))
+	}
+	for _, tc := range []struct {
+		name   string
+		body   func() io.Reader
+		length int64
+		want   int
+	}{
+		{"short", func() io.Reader { return strings.NewReader(`{"rows":1,`) }, limit, http.StatusBadRequest},
+		{"declared over", func() io.Reader { return io.LimitReader(repeatReader(' '), limit+1) }, limit + 1, http.StatusRequestEntityTooLarge},
+		{"chunked over", func() io.Reader { return io.LimitReader(repeatReader(' '), limit+1) }, -1, http.StatusRequestEntityTooLarge},
+		{"chunked", func() io.Reader { return bytes.NewReader(small) }, -1, http.StatusOK},
+		{"declared large", func() io.Reader { return bytes.NewReader(large) }, int64(len(large)), http.StatusOK},
+		{"chunked large", func() io.Reader { return bytes.NewReader(large) }, -1, http.StatusOK},
+	} {
+		if code := post(tc.body(), tc.length); code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
+		}
+	}
+	if n := allocatedBytes(5, func() { post(strings.NewReader(`{"rows":1,`), limit) }); n > bodyPrealloc+64<<10 {
+		t.Errorf("a 10-byte body declaring %d bytes allocated %d bytes", limit, n)
+	}
+}
+
 // TestJSONDuplicatePolicy: repeated JSON coordinates are summed by
 // default and rejected as malformed under DupReject, in order and out
 // of order, on every decode path and through the handler.
@@ -370,6 +441,146 @@ func TestPatternIgnoresValues(t *testing.T) {
 	}
 }
 
+// TestServedAnswerIgnoresValues: bodies with one pattern and different
+// nonzero values (synthgen's own, negative, and of order 1e-300) get
+// byte-identical answers, trace ID aside, from an uncached server, for
+// one matrix of every synthgen family. That holds on the cnn rung, the
+// dtree rung (breaker open) and the csr floor (breaker open, no tree),
+// and a feedback-enabled server logs identical entries, patterns
+// included, for each such pair.
+func TestServedAnswerIgnoresValues(t *testing.T) {
+	specs := map[synthgen.Family]synthgen.Spec{}
+	for _, sp := range synthgen.SampleSpecs(400, 3, 160) {
+		if _, ok := specs[sp.Family]; !ok {
+			specs[sp.Family] = sp
+		}
+	}
+	if len(specs) != len(synthgen.Families()) {
+		t.Fatalf("sampled %d of %d families", len(specs), len(synthgen.Families()))
+	}
+	rng := rand.New(rand.NewSource(11))
+	var groups [][][]byte // per family: bodies with one pattern
+	for _, f := range synthgen.Families() {
+		m := synthgen.Build(specs[f])
+		negative, tiny := *m, *m
+		negative.Vals, tiny.Vals = make([]float64, m.NNZ()), make([]float64, m.NNZ())
+		for i := range m.Vals {
+			negative.Vals[i] = -0.5 - 100*rng.Float64()
+			tiny.Vals[i] = (1 + rng.Float64()) * 1e-300
+		}
+		groups = append(groups, [][]byte{renderBody(m), renderBody(&negative), renderBody(&tiny)})
+	}
+
+	fbDir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		rung   string
+		mutate func(*Config)
+		setup  func(*Server)
+	}{
+		{name: "cnn", rung: rungCNN},
+		{name: "dtree", rung: rungDTree, setup: func(s *Server) { s.breaker.Failure() }},
+		{name: "csr", rung: rungCSR, setup: func(s *Server) { s.breaker.Failure(); s.dtree = nil }},
+		{name: "feedback", rung: rungCNN, mutate: func(c *Config) { c.FeedbackDir, c.FeedbackEstimates = fbDir, true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newTestServer(t, func(c *Config) {
+				c.CacheSize = 0
+				c.BreakerThreshold, c.BreakerCooldown = 1, time.Hour
+				if tc.mutate != nil {
+					tc.mutate(c)
+				}
+			})
+			if tc.setup != nil {
+				tc.setup(s)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for g, bodies := range groups {
+				var first []byte
+				for i, body := range bodies {
+					code, resp, bad := postPredict(t, ts, body, "application/json")
+					if code != http.StatusOK || resp.Rung != tc.rung {
+						t.Fatalf("family %v body %d: status %d rung %q (%s), want 200 from %s",
+							synthgen.Families()[g], i, code, resp.Rung, bad.Error, tc.rung)
+					}
+					resp.TraceID = ""
+					got, _ := json.Marshal(resp)
+					if i == 0 {
+						first = got
+					} else if !bytes.Equal(got, first) {
+						t.Fatalf("family %v: values changed the answer:\n%s\n%s", synthgen.Families()[g], first, got)
+					}
+				}
+			}
+		})
+	}
+
+	// The feedback server has shut down, so its log is complete.
+	entries := readFeedbackDir(t, fbDir)
+	if want := 3 * len(groups); len(entries) != want {
+		t.Fatalf("%d feedback entries, want %d", len(entries), want)
+	}
+	for i, e := range entries {
+		first := entries[i-i%3]
+		e.Time = first.Time
+		if len(e.PatRows) == 0 || !reflect.DeepEqual(e, first) {
+			t.Fatalf("feedback entry %d differs from its family's first (or has no pattern):\n%+v\n%+v", i, e, first)
+		}
+	}
+}
+
+// countCtx counts Err calls. The scanner checks its context every 4096
+// list elements, so the count tells how many passes read the entries.
+type countCtx struct {
+	context.Context
+	errs *int
+}
+
+func (c countCtx) Err() error {
+	*c.errs++
+	return nil
+}
+
+// TestMissScansOnce: a cache miss on a body whose values are all finite
+// nonzeros and whose coordinates do not repeat reads the entries once,
+// sorting the keys in place when they are out of order, and builds the
+// served pattern from the keys. A zero value makes the pattern depend
+// on the values, which costs a second pass.
+func TestMissScansOnce(t *testing.T) {
+	sorted := matrixJSON(4096, 1)
+	zero := bytes.Replace(sorted, []byte(",1]"), []byte(",0]"), 1)
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		passes int
+	}{
+		{"sorted", sorted, 1},
+		{"unsorted", largeBody(), 1},
+		{"zero value", zero, 2},
+	} {
+		errs := 0
+		ctx := countCtx{context.Background(), &errs}
+		b, err := scanBody(ctx, tc.body, "application/json", sparse.DefaultLimits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		perPass := b.scan.n / 4096
+		m, err := b.matrix(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs != tc.passes*perPass {
+			t.Errorf("%s: %d context checks, want %d (%d passes over %d entries)", tc.name, errs, tc.passes*perPass, tc.passes, perPass*4096)
+		}
+		for _, v := range m.Vals {
+			if v != 1 {
+				t.Fatalf("%s: served matrix holds value %v, want the unit pattern", tc.name, v)
+			}
+		}
+	}
+}
+
 // TestHitBuildsNoMatrix: the router's fingerprint never builds a
 // matrix for a JSON body, and a replica's warmed cache hit builds one
 // only when feedback capture needs it. A built matrix costs at least 16
@@ -429,9 +640,9 @@ func TestHitBuildsNoMatrix(t *testing.T) {
 }
 
 // hangupCtx is the request context of a leader whose client hangs up
-// while the leader builds the matrix: its first Err call, which the
-// rescan for values makes every 4096 entries, waits until the test
-// hangs up.
+// while the leader's job is in flight: its first Err call waits until
+// the test hangs up, so a build or wait that consults it sees the
+// hang-up.
 type hangupCtx struct {
 	context.Context
 	gone chan struct{}
@@ -448,8 +659,8 @@ func (c hangupCtx) Err() error {
 }
 
 // TestLeaderHangupDuringBuild: when the leader of a cache miss loses its
-// client while it builds the matrix, the follower coalesced onto it
-// still gets the answer.
+// client after the fingerprint, while it builds the matrix or waits for
+// its job, the follower coalesced onto it still gets the answer.
 func TestLeaderHangupDuringBuild(t *testing.T) {
 	hold := make(chan struct{})
 	release := sync.OnceFunc(func() { close(hold) })
@@ -457,8 +668,6 @@ func TestLeaderHangupDuringBuild(t *testing.T) {
 	s, _ := newTestServer(t, func(c *Config) { c.BatchMax = 1 })
 	s.testHookPreBatch = func() { <-hold }
 
-	// 5k sorted distinct nonzeros: the fingerprint needs no values, so
-	// the leader's build rescans the body and checks its context.
 	body := matrixJSON(1000, 2)
 	var bodies [2]*predictBody
 	for i := range bodies {

@@ -25,10 +25,16 @@ import (
 // object, enforces the row, column and nonzero caps as the fields are
 // read, and collects the (row,col) keys of the entries without
 // converting their values. The values are only classified (zero,
-// finite nonzero, or an exponent at the edge of float64's range), which
-// is all the fingerprint needs unless zeros or repeated coordinates
-// make the pattern depend on the values. Building the matrix parses
-// the values with a second scan.
+// finite nonzero, or an exponent at the edge of float64's range).
+//
+// The matrix a served answer is computed from is the body's canonical
+// pattern with unit values: the representations, the dtree features and
+// the feedback log read positions only. When every value is a finite
+// nonzero and no coordinate repeats, the collected keys are that
+// pattern and no value is converted. Only zeros and repeated coordinates
+// make the pattern depend on the values; such a body is scanned a
+// second time for them. DecodeMatrix and DecodeMatrixMeta scan with
+// values and return them.
 //
 // It accepts and rejects what encoding/json decoding into
 // {Rows, Cols int; Entries [][3]float64; SpmvSeconds float64} with
@@ -140,46 +146,57 @@ func (s *jsonScan) release() {
 }
 
 // fingerprint returns sparse.Fingerprint of the body's canonical
-// matrix without building it. It may reorder keys; a pattern that
-// depends on values costs a second scan.
+// matrix without building it. It may reorder keys.
 func (s *jsonScan) fingerprint(ctx context.Context) (uint64, error) {
-	if !s.canon && !s.withVals && s.exact {
-		if !s.sorted {
-			slices.Sort(s.keys)
-		}
-		s.canon = !hasRepeat(s.keys)
-	}
-	if !s.canon {
-		if err := s.canonicalize(ctx); err != nil {
-			return 0, err
-		}
+	if err := s.pattern(ctx); err != nil {
+		return 0, err
 	}
 	return sparse.FingerprintKeys(s.rows, s.cols, s.keys), nil
 }
 
-// matrix builds the body's canonical matrix, which takes ownership of
-// the parsed values.
+// matrix builds the body's canonical matrix: with its values when the
+// scan collected them, and otherwise the pattern with unit values. The
+// matrix takes ownership of vals.
 func (s *jsonScan) matrix(ctx context.Context) (*sparse.COO, error) {
-	if !s.canon || !s.withVals {
-		if err := s.canonicalize(ctx); err != nil {
-			return nil, err
+	if err := s.pattern(ctx); err != nil {
+		return nil, err
+	}
+	vals := s.vals
+	if !s.withVals {
+		vals = make([]float64, len(s.keys))
+		for i := range vals {
+			vals[i] = 1
 		}
 	}
-	m, err := sparse.NewCOOSorted(s.rows, s.cols, s.keys, s.vals)
+	m, err := sparse.NewCOOSorted(s.rows, s.cols, s.keys, vals)
 	s.vals = nil
 	return m, err
 }
 
-// canonicalize brings keys and values into NewCOO's canonical form,
-// rescanning the body for the values if this scan skipped them.
-func (s *jsonScan) canonicalize(ctx context.Context) error {
+// pattern brings keys (and vals, when withVals) into NewCOO's canonical
+// form. Keys whose values are all finite nonzeros need only sorting
+// unless a coordinate repeats; otherwise the values decide which
+// coordinates survive, and a scan that skipped them rescans the body
+// for them.
+func (s *jsonScan) pattern(ctx context.Context) error {
+	if s.canon {
+		return nil
+	}
+	if !s.withVals && s.exact {
+		if !s.sorted {
+			slices.Sort(s.keys)
+		}
+		if s.canon = !hasRepeat(s.keys); s.canon {
+			return nil
+		}
+	}
 	if !s.withVals {
 		r := newJSONScan(s.data, s.lim, true, s.keys[:0])
 		r.vals = make([]float64, 0, s.n)
 		if err := r.object(ctx); err != nil {
 			return fmt.Errorf("rescanning JSON body for values: %w", err)
 		}
-		s.keys, s.vals, s.withVals = r.keys, r.vals, true
+		s.keys, s.vals = r.keys, r.vals
 	}
 	s.keys, s.vals = sparse.Canonicalize(s.keys, s.vals)
 	s.canon = true
